@@ -34,10 +34,4 @@ object EventModel {
       "training set must contain both stay and pass-by segments")
     EventModel(LogisticRegression.fit(xs, ys, l2 = l2, maxIter = maxIter))
   }
-
-  /** Rule-based fallback used only when no training data exists (the
-    * analyst skipped step 3): a snippet reads as a stay when it is dense
-    * and slow for a while. Kept for robustness; benches always train. */
-  def heuristic: SnippetFeatures => String = f =>
-    if (f.duration >= 60 && f.avgSpeed <= 0.5) Stay else PassBy
 }

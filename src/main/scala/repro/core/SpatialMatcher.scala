@@ -21,7 +21,7 @@ object SpatialMatcher {
     * ties break toward the smaller region (a shop beats the corridor), and
     * out-of-wall records snap to the nearest region on their floor. */
   def matchSnippet(dsm: Dsm, s: Snippet): Region = {
-    val votes = s.records.flatMap(r => dsm.regionAtSnapped(r.point)).groupBy(_.id)
+    val votes = s.records.flatMap(r => dsm.locate(r.point).map(_.region)).groupBy(_.id)
     require(votes.nonEmpty, s"snippet ${s.snippetId} off-map on every record")
     val (_, rs) = votes.maxBy { case (_, v) => (v.size, -v.head.rect.area) }
     rs.head

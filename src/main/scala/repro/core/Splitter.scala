@@ -43,16 +43,14 @@ object Splitter {
     val out = Vector.newBuilder[Snippet]
     var nextId = 0
 
-    def regionOf(r: CleanRecord): String =
-      dsm.regionAtSnapped(r.point).map(_.id).getOrElse("?")
-
     /** Flush a run of movement records, splitting at region transitions. */
     def flushMove(buf: Seq[CleanRecord]): Unit = {
       if (buf.isEmpty) return
+      val region = buf.map(r => dsm.locate(r.point).map(_.region.id).getOrElse("?"))
       var runStart = 0
       var i = 1
       while (i <= buf.length) {
-        if (i == buf.length || regionOf(buf(i)) != regionOf(buf(runStart))) {
+        if (i == buf.length || region(i) != region(runStart)) {
           out += Snippet(buf.head.deviceId, nextId, dense = false, buf.slice(runStart, i))
           nextId += 1
           runStart = i

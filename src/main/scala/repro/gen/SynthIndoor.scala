@@ -105,8 +105,8 @@ object SynthIndoor {
     var cur = startP
 
     def emit(p: IndoorPoint, event: String): Unit = {
-      val r = dsm.regionAtSnapped(p).getOrElse(
-        throw new IllegalStateException(s"simulated point off-map: $p"))
+      val r = dsm.locate(p).getOrElse(
+        throw new IllegalStateException(s"simulated point off-map: $p")).region
       gt += GtRecord(id, t, p.x, p.y, p.floor, r.id, r.tag, event)
       t += 1
     }
@@ -116,11 +116,12 @@ object SynthIndoor {
       * trace never violates the DSM's minimum-walking-distance speed model
       * that the Cleaner later enforces. */
     def walkTo(dst: IndoorPoint): Unit = {
-      val total = dsm.minWalkDist(cur, dst)
+      val from = dsm.locate(cur); val to = dsm.locate(dst)
+      val total = dsm.minWalkDist(from, to)
       require(total.isFinite, s"unreachable $cur -> $dst")
       val v = cfg.walkSpeed * (0.85 + 0.3 * rng.nextDouble())
       val dur = math.max(1, math.round(total / v).toInt)
-      for (s <- 1 to dur) emit(dsm.alongPath(cur, dst, s.toDouble / dur), PassBy)
+      for (s <- 1 to dur) emit(dsm.alongPath(from, to, s.toDouble / dur).get, PassBy)
       cur = dst
     }
 
@@ -270,7 +271,7 @@ object SynthIndoor {
       val r = region("Adidas"); val c = r.rect.inflate(-1).center; IndoorPoint(c.x, c.y, r.floor)
     }
     def emit(p: IndoorPoint, event: String): Unit = {
-      val r = dsm.regionAtSnapped(p).get
+      val r = dsm.locate(p).get.region
       gt += GtRecord(id, t, p.x, p.y, p.floor, r.id, r.tag, event); t += 1
     }
     def dwell(tag: String, until: Long, event: String): Unit = {

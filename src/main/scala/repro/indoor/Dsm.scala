@@ -33,21 +33,30 @@ final case class Door(id: String, regionA: String, regionB: String,
   def other(r: String): String = if (r == regionA) regionB else regionA
 }
 
+/** A point placed in the DSM by [[Dsm.locate]]: `point` lies inside
+  * `region` (clamped there when the raw point was outside the walls). */
+final case class Location(point: IndoorPoint, region: Region)
+
 /** Digital Space Model: the semi-structured model produced by the Space
   * Modeler (paper §2/§3). It records geometric attributes and topological
   * relations of indoor entities, the semantic regions, and supports the
   * spatial computations of the Cleaning layer:
   *
-  *  - `regionAt` — point-in-region location (spatial matching);
+  *  - `locate` — the one location rule: a point inside the walls gets the
+  *    smallest-area region containing it; a point outside them is clamped
+  *    into the nearest region on its floor (spatial matching, and the
+  *    endpoints of every distance and path); `regionAt` is its in-wall part;
   *  - `minWalkDist` — the minimum indoor walking distance between two
   *    indoor points, respecting walls, doors and staircases (used for the
   *    speed-constraint check, per Yang et al. as cited by the paper);
-  *  - `walkPath` — the corresponding shortest indoor path, used by the
-  *    location-interpolation repair.
+  *  - `walkPathWeighted` / `alongPath` — the corresponding shortest indoor
+  *    path, used by the location-interpolation repair.
   *
-  * Distances run Dijkstra-style over a precomputed all-pairs door matrix
-  * (Floyd–Warshall). The DSM is small (hundreds of doors) and driver-side;
-  * Spark tasks receive it via closure/broadcast.
+  * Distances and paths share one door-pair search over a precomputed
+  * all-pairs door matrix (Floyd–Warshall). Callers that check one point
+  * many times locate it once and pass the [[Location]]. The DSM is small
+  * (hundreds of doors) and driver-side; Spark tasks receive it via
+  * closure/broadcast.
   */
 final class Dsm(val regions: IndexedSeq[Region], val doors: IndexedSeq[Door])
     extends Serializable {
@@ -80,10 +89,6 @@ final class Dsm(val regions: IndexedSeq[Region], val doors: IndexedSeq[Door])
   @transient private lazy val doorIndex: Map[String, Int] =
     doors.zipWithIndex.map { case (d, i) => d.id -> i }.toMap
 
-  /** Planar distance between two doors measured inside shared region `r`
-    * (rectangular regions are convex, so the straight segment is walkable). */
-  private def intraRegionDist(a: Door, b: Door): Double = a.pt.dist(b.pt)
-
   /** All-pairs door matrix. `doorDist(i)(j)` = minimal walking cost from
     * door i to door j, counting the crossCost of every door *after* i
     * (including j). `doorNext(i)(j)` = first hop on that path, for
@@ -94,13 +99,14 @@ final class Dsm(val regions: IndexedSeq[Region], val doors: IndexedSeq[Door])
     val dist = Array.fill(n, n)(Double.PositiveInfinity)
     val next = Array.fill(n, n)(-1)
     for (i <- 0 until n) { dist(i)(i) = 0.0; next(i)(i) = i }
-    // Direct edges: doors sharing a region.
+    // Direct edges: doors sharing a region (rectangular regions are
+    // convex, so the straight segment between two of its doors is walkable).
     for {
       (_, ds) <- doorsOfRegion
       a <- ds; b <- ds if a.id != b.id
     } {
       val i = doorIndex(a.id); val j = doorIndex(b.id)
-      val w = intraRegionDist(a, b) + b.crossCost
+      val w = a.pt.dist(b.pt) + b.crossCost
       if (w < dist(i)(j)) { dist(i)(j) = w; next(i)(j) = j }
     }
     for (k <- 0 until n; i <- 0 until n if dist(i)(k).isFinite;
@@ -111,53 +117,75 @@ final class Dsm(val regions: IndexedSeq[Region], val doors: IndexedSeq[Door])
     (dist, next)
   }
 
+  /** The smallest-area region containing `p` (the first in floor order on
+    * ties), or null: one pass over the floor's regions. */
+  private def containing(p: IndoorPoint): Region = {
+    val rs = regionsOnFloor(p.floor)
+    var hit: Region = null
+    var i = 0
+    while (i < rs.length) {
+      val r = rs(i)
+      if (r.contains(p) && (hit == null || r.rect.area < hit.rect.area)) hit = r
+      i += 1
+    }
+    hit
+  }
+
   /** The region containing `p`, preferring the smallest-area match when
     * regions touch at shared boundaries. None if `p` is out of all regions
     * (e.g. heavy positioning noise outside the walls).
     */
-  def regionAt(p: IndoorPoint): Option[Region] = {
-    val hits = regionsOnFloor(p.floor).filter(_.contains(p))
-    if (hits.isEmpty) None else Some(hits.minBy(_.rect.area))
+  def regionAt(p: IndoorPoint): Option[Region] = Option(containing(p))
+
+  /** Where `p` lies in the space: the DSM's one location rule. A point
+    * inside some region keeps its position and gets the smallest-area
+    * region containing it; a point outside the walls gets the nearest
+    * region on its floor by rectangle distance and is clamped into it.
+    * Ties go to the first region in floor order. None only when `p`'s
+    * floor has no regions. Only a point outside every region costs a
+    * second pass over the floor.
+    */
+  def locate(p: IndoorPoint): Option[Location] =
+    containing(p) match {
+      case null =>
+        val rs = regionsOnFloor(p.floor)
+        if (rs.isEmpty) None
+        else {
+          val r = rs.minBy(_.rect.dist(p.pt))
+          val q = r.rect.clamp(p.pt)
+          Some(Location(IndoorPoint(q.x, q.y, p.floor), r))
+        }
+      case r => Some(Location(p, r))
+    }
+
+  /** The one door-pair search: the cheapest route from `a` out through one
+    * of its region's doors, along the door matrix, and in through a door of
+    * `b`'s region to `b`. Returns (cost, entry door, exit door); the cost is
+    * infinite and the doors -1 when no route exists. */
+  private def doorRoute(a: Location, b: Location): (Double, Int, Int) = {
+    var best = Double.PositiveInfinity
+    var bi = -1; var bj = -1
+    for (da <- doorsOfRegion(a.region.id); db <- doorsOfRegion(b.region.id)) {
+      val i = doorIndex(da.id); val j = doorIndex(db.id)
+      val c = a.point.pt.dist(da.pt) + da.crossCost + doorDist(i)(j) + db.pt.dist(b.point.pt)
+      if (c < best) { best = c; bi = i; bj = j }
+    }
+    (best, bi, bj)
   }
-
-  /** Nearest region on `p`'s floor by rectangle distance (fallback for
-    * points outside all regions); None only if the floor has no regions. */
-  def nearestRegion(p: IndoorPoint): Option[Region] =
-    regionsOnFloor(p.floor) match {
-      case rs if rs.isEmpty => None
-      case rs               => Some(rs.minBy(_.rect.dist(p.pt)))
-    }
-
-  /** `p` snapped into the nearest region on its floor. */
-  def snap(p: IndoorPoint): IndoorPoint =
-    nearestRegion(p) match {
-      case Some(r) => val q = r.rect.clamp(p.pt); IndoorPoint(q.x, q.y, p.floor)
-      case None    => p
-    }
-
-  /** Region of `p` after snapping noise back inside the walls. */
-  def regionAtSnapped(p: IndoorPoint): Option[Region] =
-    regionAt(p).orElse(nearestRegion(p))
 
   /** Minimum indoor walking distance between two points: Euclidean inside a
     * shared region, otherwise the cheapest door-to-door route; infinity when
-    * no route exists. Points outside all regions are snapped in first.
+    * no route exists. Points outside all regions are located (clamped) in
+    * first.
     */
-  def minWalkDist(a0: IndoorPoint, b0: IndoorPoint): Double = {
-    val a = snap(a0); val b = snap(b0)
-    (regionAtSnapped(a), regionAtSnapped(b)) match {
-      case (Some(ra), Some(rb)) if ra.id == rb.id => a.planarDist(b)
-      case (Some(ra), Some(rb)) =>
-        val entry = doorsOfRegion(ra.id); val exit = doorsOfRegion(rb.id)
-        var best = Double.PositiveInfinity
-        for (da <- entry; db <- exit) {
-          val i = doorIndex(da.id); val j = doorIndex(db.id)
-          val c = a.pt.dist(da.pt) + da.crossCost + doorDist(i)(j) + db.pt.dist(b.pt)
-          if (c < best) best = c
-        }
-        best
-      case _ => Double.PositiveInfinity
-    }
+  def minWalkDist(a: IndoorPoint, b: IndoorPoint): Double = minWalkDist(locate(a), locate(b))
+
+  /** [[minWalkDist]] between endpoints already located; infinity when
+    * either is off the map. */
+  def minWalkDist(a: Option[Location], b: Option[Location]): Double = (a, b) match {
+    case (Some(la), Some(lb)) if la.region.id == lb.region.id => la.point.planarDist(lb.point)
+    case (Some(la), Some(lb))                                 => doorRoute(la, lb)._1
+    case _                                                    => Double.PositiveInfinity
   }
 
   /** One hop of a walking path: the waypoint reached and the walking cost
@@ -171,24 +199,21 @@ final class Dsm(val regions: IndexedSeq[Region], val doors: IndexedSeq[Door])
   /** Shortest indoor walking path a→b as cost-weighted steps (the first
     * step is `a` at cost 0; total cost equals [[minWalkDist]]). None when
     * unreachable. */
-  def walkPathWeighted(a0: IndoorPoint, b0: IndoorPoint): Option[Vector[PathStep]] = {
-    val a = snap(a0); val b = snap(b0)
-    (regionAtSnapped(a), regionAtSnapped(b)) match {
-      case (Some(ra), Some(rb)) if ra.id == rb.id =>
+  def walkPathWeighted(a: IndoorPoint, b: IndoorPoint): Option[Vector[PathStep]] =
+    walkPathWeighted(locate(a), locate(b))
+
+  /** [[walkPathWeighted]] between endpoints already located. */
+  def walkPathWeighted(la: Option[Location], lb: Option[Location]): Option[Vector[PathStep]] =
+    (la, lb) match {
+      case (Some(Location(a, ra)), Some(Location(b, rb))) if ra.id == rb.id =>
         Some(Vector(PathStep(a, 0.0), PathStep(b, a.planarDist(b))))
-      case (Some(ra), Some(rb)) =>
-        val entry = doorsOfRegion(ra.id); val exit = doorsOfRegion(rb.id)
-        var best = Double.PositiveInfinity
-        var bestPair: Option[(Int, Int)] = None
-        for (da <- entry; db <- exit) {
-          val i = doorIndex(da.id); val j = doorIndex(db.id)
-          val c = a.pt.dist(da.pt) + da.crossCost + doorDist(i)(j) + db.pt.dist(b.pt)
-          if (c < best) { best = c; bestPair = Some((i, j)) }
-        }
-        bestPair.map { case (i, j) =>
+      case (Some(from), Some(to)) =>
+        val (_, i, j) = doorRoute(from, to)
+        if (i < 0) None
+        else {
           val steps = Vector.newBuilder[PathStep]
-          steps += PathStep(a, 0.0)
-          var prev = a
+          steps += PathStep(from.point, 0.0)
+          var prev = from.point
           doorChain(i, j).foreach { di =>
             val d = doors(di)
             val fa = regionById(d.regionA).floor
@@ -209,12 +234,11 @@ final class Dsm(val regions: IndexedSeq[Region], val doors: IndexedSeq[Door])
               prev = wFar
             }
           }
-          steps += PathStep(b, prev.planarDist(b))
-          steps.result()
+          steps += PathStep(to.point, prev.planarDist(to.point))
+          Some(steps.result())
         }
       case _ => None
     }
-  }
 
   /** Shortest indoor walking path a→b as ordered waypoints (endpoints
     * included; stair climbs contribute a waypoint per floor side).
@@ -246,25 +270,30 @@ final class Dsm(val regions: IndexedSeq[Region], val doors: IndexedSeq[Door])
     * midpoint). Falls back to `a` when unreachable.
     */
   def alongPath(a: IndoorPoint, b: IndoorPoint, f: Double): IndoorPoint =
-    walkPathWeighted(a, b) match {
-      case None => a
-      case Some(steps) =>
-        val total = steps.map(_.cost).sum
-        if (total <= 0) return steps.last.point
-        var remaining = math.min(math.max(f, 0.0), 1.0) * total
-        var prev = steps.head.point
-        for (PathStep(q, cost) <- steps.tail) {
-          if (remaining <= cost) {
-            val g = if (cost == 0) 1.0 else remaining / cost
-            val xy = prev.pt.lerp(q.pt, g)
-            // Across a climb (or any floor change) the floor flips midway.
-            return IndoorPoint(xy.x, xy.y, if (g < 0.5) prev.floor else q.floor)
-          }
-          remaining -= cost
-          prev = q
-        }
-        steps.last.point
+    alongPath(locate(a), locate(b), f).getOrElse(a)
+
+  /** [[alongPath]] between endpoints already located; None when
+    * unreachable. */
+  def alongPath(a: Option[Location], b: Option[Location], f: Double): Option[IndoorPoint] =
+    walkPathWeighted(a, b).map(pointAlong(_, f))
+
+  private def pointAlong(steps: Vector[PathStep], f: Double): IndoorPoint = {
+    val total = steps.map(_.cost).sum
+    if (total <= 0) return steps.last.point
+    var remaining = math.min(math.max(f, 0.0), 1.0) * total
+    var prev = steps.head.point
+    for (PathStep(q, cost) <- steps.tail) {
+      if (remaining <= cost) {
+        val g = if (cost == 0) 1.0 else remaining / cost
+        val xy = prev.pt.lerp(q.pt, g)
+        // Across a climb (or any floor change) the floor flips midway.
+        return IndoorPoint(xy.x, xy.y, if (g < 0.5) prev.floor else q.floor)
+      }
+      remaining -= cost
+      prev = q
     }
+    steps.last.point
+  }
 
   /** Tags of all semantic regions (distinct, sorted). */
   def semanticTags: Seq[String] = regions.map(_.tag).distinct.sorted

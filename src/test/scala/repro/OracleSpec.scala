@@ -1,58 +1,45 @@
 package repro
 
 import org.apache.spark.sql.functions._
+import repro.gen.{Mall, SynthIndoor}
+import repro.gen.SynthIndoor.SimConfig
 
-/** Sanity checks of the DuckDB oracle machinery itself (and of the
-  * provided TPC-H-lite generators), so oracle-based assertions elsewhere
-  * are trustworthy: a correct query must pass, a wrong one must fail. */
+/** Sanity checks of the DuckDB oracle machinery itself, so oracle-based
+  * assertions elsewhere are trustworthy: a correct query must pass, a wrong
+  * one must fail. The table is a few simulated devices' raw positioning
+  * records. */
 class OracleSpec extends SparkSpec {
 
-  private lazy val li = SynthData.lineitem(spark, sf = 0.002).cache()
+  private lazy val pos =
+    SynthIndoor.raw(spark, Mall.dsm(), SimConfig(nDevices = 4, seed = 5L)).toDF().cache()
 
   test("a correct aggregation passes the oracle") {
-    val q = li.groupBy("l_returnflag")
-      .agg(count(lit(1)).as("n"), round(sum("l_quantity"), 2).as("qty"))
+    val q = pos.groupBy("deviceId")
+      .agg(count(lit(1)).as("n"), round(sum("x"), 2).as("sx"))
     Oracle.assertEquivalent(q,
-      """SELECT l_returnflag, count(*) AS n,
-        |       round(sum(CAST(l_quantity AS DOUBLE)), 2) AS qty
-        |FROM lineitem GROUP BY l_returnflag""".stripMargin,
-      "lineitem" -> li)
+      """SELECT deviceId, count(*) AS n,
+        |       round(sum(CAST(x AS DOUBLE)), 2) AS sx
+        |FROM pos GROUP BY deviceId""".stripMargin,
+      "pos" -> pos)
   }
 
   test("a wrong result is rejected with a row diff") {
-    val q = li.groupBy("l_returnflag").agg((count(lit(1)) + 1).as("n"))
+    val q = pos.groupBy("deviceId").agg((count(lit(1)) + 1).as("n"))
     val e = intercept[IllegalArgumentException] {
       Oracle.assertEquivalent(q,
-        "SELECT l_returnflag, count(*) AS n FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li)
+        "SELECT deviceId, count(*) AS n FROM pos GROUP BY deviceId",
+        "pos" -> pos)
     }
     assert(e.getMessage.contains("result mismatch"))
   }
 
   test("a column-name mismatch is rejected up front") {
-    val q = li.groupBy("l_returnflag").agg(count(lit(1)).as("wrong_name"))
+    val q = pos.groupBy("deviceId").agg(count(lit(1)).as("wrong_name"))
     val e = intercept[IllegalArgumentException] {
       Oracle.assertEquivalent(q,
-        "SELECT l_returnflag, count(*) AS n FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li)
+        "SELECT deviceId, count(*) AS n FROM pos GROUP BY deviceId",
+        "pos" -> pos)
     }
     assert(e.getMessage.contains("column mismatch"))
-  }
-
-  test("TPC-H-lite generators are deterministic in (sf, seed)") {
-    val a = SynthData.orders(spark, sf = 0.001).agg(sum("o_totalprice")).head().getDouble(0)
-    val b = SynthData.orders(spark, sf = 0.001).agg(sum("o_totalprice")).head().getDouble(0)
-    assert(a == b)
-  }
-
-  test("zipf keys are skewed, uniform keys are not") {
-    val z = SynthData.zipfKeys(spark, 20000, 1000)
-    val u = SynthData.uniformKeys(spark, 20000, 1000)
-    def topShare(df: org.apache.spark.sql.DataFrame): Double = {
-      val top = df.groupBy("k").count().orderBy(desc("count")).limit(1)
-        .head().getLong(1).toDouble
-      top / 20000
-    }
-    assert(topShare(z) > 5 * topShare(u))
   }
 }

@@ -34,7 +34,7 @@ class SynthIndoorSpec extends SparkSpec {
   test("ground truth points always lie in some region with matching tag") {
     val sim = SynthIndoor.simulate(dsm, cfg, 2)
     sim.gt.foreach { g =>
-      val r = dsm.regionAtSnapped(IndoorPoint(g.x, g.y, g.floor))
+      val r = dsm.locate(IndoorPoint(g.x, g.y, g.floor)).map(_.region)
       assert(r.isDefined)
       assert(r.get.id == g.regionId && r.get.tag == g.tag)
     }

@@ -68,8 +68,8 @@ class DsmSpec extends AnyFunSuite {
   }
   test("regionAt outside everything is None; nearestRegion snaps") {
     assert(dsm.regionAt(p(30, 5, 0)).isEmpty)
-    assert(dsm.nearestRegion(p(26, 5, 0)).map(_.id).contains("S0"))
-    assert(dsm.snap(p(26, 5, 0)) == p(25, 5, 0))
+    assert(dsm.locate(p(26, 5, 0)).map(_.region.id).contains("S0"))
+    assert(dsm.locate(p(26, 5, 0)).map(_.point).contains(p(25, 5, 0)))
   }
 
   test("minWalkDist within one region is Euclidean") {
